@@ -157,16 +157,18 @@ fn fold_sum(buckets: &[Bucket], from: usize, to: usize) -> Bucket {
 }
 
 /// Bounds the number of states by grouping them by overlap cell and coarsening
-/// the accumulated-sum distribution within each group.
+/// the accumulated-sum distribution within each group. Groups are visited in
+/// key order, so the same states always merge into the same sequence and an
+/// estimate is bit-reproducible from call to call.
 fn merge_states(states: Vec<ChainState>, max_state_buckets: usize) -> Vec<ChainState> {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     if states.is_empty() {
         return states;
     }
     // Group by the exact identity of the overlap buckets (they come from the
     // same component's axes, so bit-exact comparison is appropriate).
     type OverlapKey = Vec<(u64, u64)>;
-    let mut groups: HashMap<OverlapKey, Vec<(Bucket, f64)>> = HashMap::new();
+    let mut groups: BTreeMap<OverlapKey, Vec<(Bucket, f64)>> = BTreeMap::new();
     for s in states {
         let key: Vec<(u64, u64)> = s
             .overlap
@@ -374,5 +376,46 @@ mod tests {
             let h = cost_histogram(&d).unwrap();
             assert!(h.bucket_count() >= 1);
         }
+    }
+
+    #[test]
+    fn repeated_od_estimates_are_bit_identical() {
+        // Paths of cardinality 4–16 on the tiny preset: some of their chains
+        // carry many overlap cells through `merge_states`, so its group
+        // order must not depend on a per-map random hash seed.
+        use crate::estimator::{CostEstimator, OdEstimator};
+        let (net, store) = DatasetPreset::tiny(21).materialise().unwrap();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        };
+        let graph = HybridGraph::build(&net, &store, cfg).unwrap();
+        let od = OdEstimator::new(&graph);
+        let bits = |h: &Histogram1D| -> Vec<(u64, u64, u64)> {
+            h.buckets()
+                .iter()
+                .zip(h.probs())
+                .map(|(b, p)| (b.lo.to_bits(), b.hi.to_bits(), p.to_bits()))
+                .collect()
+        };
+        let mut compared = 0;
+        for cardinality in (4..=16).step_by(2) {
+            for (path, _) in store
+                .frequent_paths(cardinality, 3, None)
+                .into_iter()
+                .take(8)
+            {
+                let departure = store.occurrences_on(&path)[0].entry_time;
+                let Ok(first) = od.estimate(&path, departure) else {
+                    continue;
+                };
+                for _ in 0..10 {
+                    let again = od.estimate(&path, departure).unwrap();
+                    assert_eq!(bits(&again), bits(&first), "{path:?} at {departure:?}");
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 100, "only {compared} repeated estimates");
     }
 }

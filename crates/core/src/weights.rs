@@ -2,17 +2,21 @@
 //!
 //! The weight function maps a path and a time interval to an instantiated
 //! random variable — the joint distribution of the path's per-edge costs. It
-//! is built in one pass over the trajectory store:
+//! is built by one procedure, applied once per table:
 //!
 //! 1. every window of length `1..=max_rank` of every matched trajectory is an
 //!    occurrence of a candidate path, keyed by the interval its entry time
-//!    falls in;
+//!    falls in (the one window walk, `windows`);
 //! 2. candidates with at least `β` qualified occurrences get a multi-
 //!    dimensional histogram fitted to their per-edge cost rows (the Auto +
 //!    V-Optimal procedure of §3.1/§3.2);
 //! 3. unit paths that never reach `β` qualified trajectories fall back to a
 //!    speed-limit-derived distribution, so every edge always has *some*
 //!    ground-truth unit weight.
+//!
+//! The global table is the all-traffic case of that procedure: every
+//! trajectory contributes to it. A regime's own table runs the same
+//! procedure over the trajectories whose fallback ladder passes through it.
 
 use crate::config::HybridConfig;
 use crate::error::CoreError;
@@ -24,33 +28,45 @@ use pathcost_traj::costs::per_edge_costs;
 use pathcost_traj::MatchedTrajectory;
 use pathcost_traj::{CostKind, RegimeId, RegimeSchema, TrajectoryStore};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
+/// The one window walk: every window of `m` of length `1..=max_rank`, as
+/// `(start, edges[start..start + k], interval of entry_times[start])`.
+/// Instantiation, dirty-key enumeration and nothing else read entry times
+/// this way, so what a trajectory contributes and what its arrival or
+/// retirement dirties cannot drift apart. Windows come start by start, so
+/// each key's occurrences within one trajectory appear in position order.
+fn windows<'a>(
+    m: &'a MatchedTrajectory,
+    partition: &'a DayPartition,
+    max_rank: usize,
+) -> impl Iterator<Item = (usize, &'a [EdgeId], IntervalId)> + 'a {
+    let edges = m.path.edges();
+    (0..edges.len()).flat_map(move |start| {
+        let interval = partition.interval_of(m.entry_times[start].time_of_day());
+        (1..=max_rank.min(edges.len() - start))
+            .map(move |k| (start, &edges[start..start + k], interval))
+    })
+}
+
 /// The variable keys whose qualified occurrence sets a batch of *appended or
-/// removed* trajectories changes: each `(edges[start..start + k], interval)`
-/// window for `k = 1..=max_rank` — the exact mirror of instantiation's pass-1
-/// enumeration below, kept next to it so the two cannot drift. Everything
-/// outside this set is provably untouched by the append (or retirement),
-/// which is what makes [`PathWeightFunction::rederive`] exact: a trajectory
-/// only ever contributes occurrences to its own windows, whether it is
-/// arriving or aging out.
+/// removed* trajectories changes: the key of every window the one window
+/// walk yields for the batch. Everything outside this set is provably
+/// untouched by the append (or retirement), which is what makes
+/// [`PathWeightFunction::rederive`] exact: a trajectory only ever contributes
+/// occurrences to its own windows, whether it is arriving or aging out.
 pub fn dirty_keys(
     batch: &[MatchedTrajectory],
     partition: &DayPartition,
     max_rank: usize,
 ) -> BTreeSet<VariableKey> {
-    let mut dirty = BTreeSet::new();
-    for m in batch {
-        let edges = m.path.edges();
-        for k in 1..=max_rank.min(edges.len()) {
-            for start in 0..=edges.len() - k {
-                let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                dirty.insert((edges[start..start + k].to_vec(), interval));
-            }
-        }
-    }
-    dirty
+    batch
+        .iter()
+        .flat_map(|m| windows(m, partition, max_rank))
+        .map(|(_, window, interval)| (window.to_vec(), interval))
+        .collect()
 }
 
 /// The regime-keyed counterpart of [`dirty_keys`]: each window of a changed
@@ -68,13 +84,9 @@ pub fn dirty_keys_by_regime(
     let mut dirty = BTreeSet::new();
     for m in batch {
         let ladder = schema.ladder(m.regime);
-        let edges = m.path.edges();
-        for k in 1..=max_rank.min(edges.len()) {
-            for start in 0..=edges.len() - k {
-                let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                for &table in &ladder {
-                    dirty.insert((edges[start..start + k].to_vec(), interval, table));
-                }
+        for (_, window, interval) in windows(m, partition, max_rank) {
+            for &table in &ladder {
+                dirty.insert((window.to_vec(), interval, table));
             }
         }
     }
@@ -188,6 +200,10 @@ pub struct WeightUpdate {
     /// Number of trajectories the producing ingest appended (stamped by the
     /// live ingestor; `rederive` itself leaves it 0).
     pub trajectories: usize,
+    /// Number of trajectories the producing ingest refused as invalid and
+    /// never stored (stamped by the live ingestor; `rederive` itself leaves
+    /// it 0).
+    pub trajectories_rejected: usize,
     /// Number of trajectories the producing retirement removed (stamped by
     /// the live ingestor; `rederive` itself leaves it 0).
     pub trajectories_retired: usize,
@@ -228,22 +244,83 @@ impl WeightUpdate {
     }
 }
 
-/// Fits the §3.1/§3.2 histogram for one variable key from its qualified
-/// per-edge cost rows (shared by full instantiation and selective
-/// re-derivation so both produce bit-identical distributions).
-fn fit_histogram(
-    path: &Path,
+/// Fits the variable for one key from its qualified per-edge cost rows, or
+/// `None` when fewer than β rows qualified. Shared by full instantiation and
+/// selective re-derivation so both apply the same threshold and produce
+/// bit-identical distributions (the §3.1/§3.2 Auto + V-Optimal fit).
+fn fit_variable(
+    path: Path,
+    interval: IntervalId,
     rows: &[Vec<f64>],
     cfg: &HybridConfig,
-) -> Result<HistogramNd, CoreError> {
-    if path.is_unit() {
-        let totals: Vec<f64> = rows.iter().map(|r| r[0]).collect();
-        Ok(HistogramNd::from_histogram1d(&auto_histogram(
-            &totals, &cfg.auto,
-        )?))
-    } else {
-        Ok(HistogramNd::from_samples(rows, &cfg.auto)?)
+) -> Result<Option<InstantiatedVariable>, CoreError> {
+    if rows.len() < cfg.beta {
+        return Ok(None);
     }
+    let histogram = if path.is_unit() {
+        let totals: Vec<f64> = rows.iter().map(|r| r[0]).collect();
+        HistogramNd::from_histogram1d(&auto_histogram(&totals, &cfg.auto)?)
+    } else {
+        HistogramNd::from_samples(rows, &cfg.auto)?
+    };
+    Ok(Some(InstantiatedVariable {
+        path,
+        interval,
+        histogram,
+        source: VariableSource::Trajectories { count: rows.len() },
+    }))
+}
+
+/// `true` when `window` during `interval` contains one of the `excluded`
+/// held-out paths during the same interval.
+fn is_excluded(excluded: &[(Path, IntervalId)], window: &[EdgeId], interval: IntervalId) -> bool {
+    excluded.iter().any(|(path, iv)| {
+        *iv == interval
+            && path.cardinality() <= window.len()
+            && window
+                .windows(path.cardinality())
+                .any(|w| w == path.edges())
+    })
+}
+
+/// Patches a delta into a table sorted by `(path edges, interval)` in one
+/// merge pass: `Some(var)` entries replace (or insert) their key, `None`
+/// entries delete it. The result is in exactly the sorted-key order a full
+/// instantiation produces, so a small epoch pays neither a re-sort nor a
+/// per-key map rebuild.
+fn patch_sorted<T>(
+    table: T,
+    delta: BTreeMap<VariableKey, Option<InstantiatedVariable>>,
+) -> Vec<InstantiatedVariable>
+where
+    T: IntoIterator<Item = InstantiatedVariable>,
+    T::IntoIter: ExactSizeIterator,
+{
+    let table = table.into_iter();
+    let mut out = Vec::with_capacity(table.len() + delta.len());
+    let mut patches = delta.into_iter().peekable();
+    for var in table {
+        let mut replaced = false;
+        while let Some((key, _)) = patches.peek() {
+            // BTreeMap orders (Vec<EdgeId>, IntervalId) keys exactly like
+            // this slice comparison, so the merge preserves sorted order.
+            let ord = (key.0.as_slice(), key.1).cmp(&(var.path.edges(), var.interval));
+            if ord == Ordering::Greater {
+                break;
+            }
+            let (_, patch) = patches.next().expect("peeked");
+            out.extend(patch);
+            if ord == Ordering::Equal {
+                replaced = true;
+                break;
+            }
+        }
+        if !replaced {
+            out.push(var);
+        }
+    }
+    out.extend(patches.filter_map(|(_, patch)| patch));
+    out
 }
 
 impl PathWeightFunction {
@@ -258,6 +335,8 @@ impl PathWeightFunction {
 
     /// Instantiates the weight function, skipping every candidate path that
     /// contains one of the `excluded` paths during the excluded interval.
+    /// The exclusions apply to the global table and to every regime's own
+    /// table alike.
     pub fn instantiate_with_exclusions(
         net: &RoadNetwork,
         store: &TrajectoryStore,
@@ -266,78 +345,8 @@ impl PathWeightFunction {
     ) -> Result<Self, CoreError> {
         cfg.validate()?;
         let partition = DayPartition::new(cfg.alpha_minutes)?;
-        let is_excluded = |edges: &[EdgeId], interval: IntervalId| -> bool {
-            excluded.iter().any(|(path, iv)| {
-                *iv == interval
-                    && path.cardinality() <= edges.len()
-                    && edges.windows(path.cardinality()).any(|w| w == path.edges())
-            })
-        };
-
-        // Pass 1: count qualified occurrences of every (window, interval) key.
-        let mut counts: HashMap<(Vec<EdgeId>, IntervalId), usize> = HashMap::new();
-        for m in store.matched() {
-            let edges = m.path.edges();
-            for k in 1..=cfg.max_rank.min(edges.len()) {
-                for start in 0..=edges.len() - k {
-                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                    let window = &edges[start..start + k];
-                    if !excluded.is_empty() && is_excluded(window, interval) {
-                        continue;
-                    }
-                    let key = (window.to_vec(), interval);
-                    *counts.entry(key).or_insert(0) += 1;
-                }
-            }
-        }
-
-        // Pass 2: collect per-edge cost rows only for keys that reached β.
-        let mut samples: HashMap<(Vec<EdgeId>, IntervalId), Vec<Vec<f64>>> = counts
-            .iter()
-            .filter(|(_, &c)| c >= cfg.beta)
-            .map(|(k, &c)| (k.clone(), Vec::with_capacity(c)))
-            .collect();
-        if !samples.is_empty() {
-            for m in store.matched() {
-                let edges = m.path.edges();
-                for k in 1..=cfg.max_rank.min(edges.len()) {
-                    for start in 0..=edges.len() - k {
-                        let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                        let key = (edges[start..start + k].to_vec(), interval);
-                        if let Some(rows) = samples.get_mut(&key) {
-                            let sub = Path::from_edges_unchecked(key.0.clone());
-                            if let Some(costs) = per_edge_costs(m, net, &sub, start, cfg.cost_kind)
-                            {
-                                rows.push(costs);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Fit histograms, keyed and ordered by (edges, interval).
-        let mut by_key: BTreeMap<VariableKey, InstantiatedVariable> = BTreeMap::new();
-        let mut keys: Vec<VariableKey> = samples.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let rows = samples.remove(&key).expect("key came from samples");
-            if rows.len() < cfg.beta {
-                continue;
-            }
-            let path = Path::from_edges_unchecked(key.0.clone());
-            let histogram = fit_histogram(&path, &rows, cfg)?;
-            let interval = key.1;
-            by_key.insert(
-                key,
-                InstantiatedVariable {
-                    path,
-                    interval,
-                    histogram,
-                    source: VariableSource::Trajectories { count: rows.len() },
-                },
-            );
-        }
+        let variables =
+            Self::build_table(net, store, cfg, &partition, excluded, RegimeId::ALL_TRAFFIC)?;
 
         // Speed-limit fallbacks for every edge of the network.
         let mut fallback_units = HashMap::with_capacity(net.edge_count());
@@ -348,9 +357,9 @@ impl PathWeightFunction {
             fallback_units.insert(edge.id, Histogram1D::uniform(lo, hi.max(lo + 0.5))?);
         }
 
-        // Per-regime own tables: one extra counting/collection pass per
-        // non-global table reachable from the regimes present in the store.
-        // Skipped entirely for untagged stores.
+        // Per-regime own tables: one more table build per non-global table
+        // reachable from the regimes present in the store. Skipped entirely
+        // for untagged stores.
         let mut regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>> = BTreeMap::new();
         if store.has_regimes() {
             let mut tables: BTreeSet<RegimeId> = BTreeSet::new();
@@ -362,32 +371,27 @@ impl PathWeightFunction {
                 }
             }
             for table in tables {
-                let vars =
-                    Self::collect_regime_table(net, store, cfg, &partition, excluded, table)?;
+                let vars = Self::build_table(net, store, cfg, &partition, excluded, table)?;
                 if !vars.is_empty() {
                     regime_own.insert(table, vars);
                 }
             }
         }
 
-        Ok(Self::assemble(
-            partition,
-            cfg.cost_kind,
-            by_key,
-            fallback_units,
-            store,
-            cfg.regimes.clone(),
-            regime_own,
-        ))
+        Ok(
+            Self::finish(partition, cfg.cost_kind, variables, fallback_units, store)
+                .with_regime_tables(cfg.regimes.clone(), regime_own, store),
+        )
     }
 
-    /// Fits one regime's own table: the same two-pass β-threshold procedure
-    /// as global instantiation, restricted to trajectories whose fallback
-    /// ladder passes through `table` — so the rows a key collects here are
-    /// exactly the contributing subsequence, in the same (trajectory,
-    /// position) order, of the rows the global pass collects. Returns the
-    /// fitted variables in sorted `(path edges, interval)` key order.
-    fn collect_regime_table(
+    /// Builds one table — the global one for [`RegimeId::ALL_TRAFFIC`], a
+    /// regime's own table otherwise — from the trajectories that contribute
+    /// to it: count every window's occurrences, collect per-edge cost rows
+    /// for the keys that reached β, fit them. A key's rows come in
+    /// (trajectory, position) order, the order re-derivation reproduces;
+    /// the fitted variables are returned in sorted `(path edges, interval)`
+    /// key order.
+    fn build_table(
         net: &RoadNetwork,
         store: &TrajectoryStore,
         cfg: &HybridConfig,
@@ -395,100 +399,48 @@ impl PathWeightFunction {
         excluded: &[(Path, IntervalId)],
         table: RegimeId,
     ) -> Result<Vec<InstantiatedVariable>, CoreError> {
-        let is_excluded = |edges: &[EdgeId], interval: IntervalId| -> bool {
-            excluded.iter().any(|(path, iv)| {
-                *iv == interval
-                    && path.cardinality() <= edges.len()
-                    && edges.windows(path.cardinality()).any(|w| w == path.edges())
-            })
+        let contributing = || {
+            store
+                .matched()
+                .iter()
+                .filter(move |m| cfg.regimes.contributes_to(m.regime, table))
         };
 
-        let mut counts: HashMap<(Vec<EdgeId>, IntervalId), usize> = HashMap::new();
-        for m in store.matched() {
-            if !cfg.regimes.contributes_to(m.regime, table) {
-                continue;
-            }
-            let edges = m.path.edges();
-            for k in 1..=cfg.max_rank.min(edges.len()) {
-                for start in 0..=edges.len() - k {
-                    let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                    let window = &edges[start..start + k];
-                    if !excluded.is_empty() && is_excluded(window, interval) {
-                        continue;
-                    }
+        let mut counts: HashMap<VariableKey, usize> = HashMap::new();
+        for m in contributing() {
+            for (_, window, interval) in windows(m, partition, cfg.max_rank) {
+                if !is_excluded(excluded, window, interval) {
                     *counts.entry((window.to_vec(), interval)).or_insert(0) += 1;
                 }
             }
         }
 
-        let mut samples: HashMap<(Vec<EdgeId>, IntervalId), Vec<Vec<f64>>> = counts
-            .iter()
-            .filter(|(_, &c)| c >= cfg.beta)
-            .map(|(k, &c)| (k.clone(), Vec::with_capacity(c)))
+        let mut samples: HashMap<VariableKey, Vec<Vec<f64>>> = counts
+            .into_iter()
+            .filter(|&(_, c)| c >= cfg.beta)
+            .map(|(k, c)| (k, Vec::with_capacity(c)))
             .collect();
         if !samples.is_empty() {
-            for m in store.matched() {
-                if !cfg.regimes.contributes_to(m.regime, table) {
-                    continue;
-                }
-                let edges = m.path.edges();
-                for k in 1..=cfg.max_rank.min(edges.len()) {
-                    for start in 0..=edges.len() - k {
-                        let interval = partition.interval_of(m.entry_times[start].time_of_day());
-                        let key = (edges[start..start + k].to_vec(), interval);
-                        if let Some(rows) = samples.get_mut(&key) {
-                            let sub = Path::from_edges_unchecked(key.0.clone());
-                            if let Some(costs) = per_edge_costs(m, net, &sub, start, cfg.cost_kind)
-                            {
-                                rows.push(costs);
-                            }
+            for m in contributing() {
+                for (start, window, interval) in windows(m, partition, cfg.max_rank) {
+                    if let Some(rows) = samples.get_mut(&(window.to_vec(), interval)) {
+                        let sub = Path::from_edges_unchecked(window.to_vec());
+                        if let Some(costs) = per_edge_costs(m, net, &sub, start, cfg.cost_kind) {
+                            rows.push(costs);
                         }
                     }
                 }
             }
         }
 
-        let mut by_key: BTreeMap<VariableKey, InstantiatedVariable> = BTreeMap::new();
-        let mut keys: Vec<VariableKey> = samples.keys().cloned().collect();
-        keys.sort();
-        for key in keys {
-            let rows = samples.remove(&key).expect("key came from samples");
-            if rows.len() < cfg.beta {
-                continue;
-            }
-            let path = Path::from_edges_unchecked(key.0.clone());
-            let histogram = fit_histogram(&path, &rows, cfg)?;
-            let interval = key.1;
-            by_key.insert(
-                key,
-                InstantiatedVariable {
-                    path,
-                    interval,
-                    histogram,
-                    source: VariableSource::Trajectories { count: rows.len() },
-                },
-            );
+        let mut samples: Vec<(VariableKey, Vec<Vec<f64>>)> = samples.into_iter().collect();
+        samples.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let mut variables = Vec::with_capacity(samples.len());
+        for ((edges, interval), rows) in samples {
+            let path = Path::from_edges_unchecked(edges);
+            variables.extend(fit_variable(path, interval, &rows, cfg)?);
         }
-        Ok(by_key.into_values().collect())
-    }
-
-    /// Assembles a weight function from fitted variables: the sorted-key
-    /// order fixes variable indices, the exact-lookup and first-edge indices
-    /// are rebuilt, and the summary statistics are recomputed. Shared by full
-    /// instantiation and [`Self::rederive`] so both produce identical
-    /// structures for identical variable sets.
-    fn assemble(
-        partition: DayPartition,
-        cost_kind: CostKind,
-        by_key: BTreeMap<VariableKey, InstantiatedVariable>,
-        fallback_units: HashMap<EdgeId, Histogram1D>,
-        store: &TrajectoryStore,
-        schema: RegimeSchema,
-        regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
-    ) -> PathWeightFunction {
-        let variables: Vec<InstantiatedVariable> = by_key.into_values().collect();
-        Self::finish(partition, cost_kind, variables, fallback_units, store)
-            .with_regime_tables(schema, regime_own, store)
+        Ok(variables)
     }
 
     /// Attaches the regime schema and own tables to an assembled global
@@ -539,12 +491,7 @@ impl PathWeightFunction {
             let mut by_key: BTreeMap<VariableKey, (InstantiatedVariable, usize, RegimeId)> =
                 BTreeMap::new();
             for (depth, rung) in ladder.iter().enumerate().rev() {
-                let vars: &[InstantiatedVariable] = if rung.is_global() {
-                    &self.variables
-                } else {
-                    self.regime_own.get(rung).map(Vec::as_slice).unwrap_or(&[])
-                };
-                for v in vars {
+                for v in self.table(*rung) {
                     by_key.insert(
                         (v.path.edges().to_vec(), v.interval),
                         (v.clone(), depth, *rung),
@@ -573,63 +520,10 @@ impl PathWeightFunction {
         }
     }
 
-    /// Patches a sorted delta into this function's already-sorted variable
-    /// list by a single splice/merge pass — the incremental counterpart of
-    /// [`Self::assemble`], which [`Self::rederive`] uses so a small epoch
-    /// does not pay an `O(|variables| log |variables|)` sorted re-index.
-    /// `Some(var)` entries replace (or insert) their key, `None` entries
-    /// delete it. The merged order is exactly the sorted-key order a full
-    /// re-assembly would produce — bit-identity is asserted by the weight
-    /// tests and the live-equivalence oracle.
-    fn assemble_patched(
-        &self,
-        delta: BTreeMap<VariableKey, Option<InstantiatedVariable>>,
-        regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>>,
-        store: &TrajectoryStore,
-    ) -> PathWeightFunction {
-        let mut variables: Vec<InstantiatedVariable> =
-            Vec::with_capacity(self.variables.len() + delta.len());
-        let mut patches = delta.into_iter().peekable();
-        for var in &self.variables {
-            let mut replaced = false;
-            while let Some((key, _)) = patches.peek() {
-                // BTreeMap orders (Vec<EdgeId>, IntervalId) keys exactly like
-                // this slice comparison, so the merge preserves sorted order.
-                let ord = (key.0.as_slice(), key.1).cmp(&(var.path.edges(), var.interval));
-                if ord == std::cmp::Ordering::Greater {
-                    break;
-                }
-                let (_, patch) = patches.next().expect("peeked");
-                if let Some(new_var) = patch {
-                    variables.push(new_var);
-                }
-                if ord == std::cmp::Ordering::Equal {
-                    replaced = true;
-                    break;
-                }
-            }
-            if !replaced {
-                variables.push(var.clone());
-            }
-        }
-        for (_, patch) in patches {
-            if let Some(new_var) = patch {
-                variables.push(new_var);
-            }
-        }
-        Self::finish(
-            self.partition.clone(),
-            self.cost_kind,
-            variables,
-            self.fallback_units.clone(),
-            store,
-        )
-        .with_regime_tables(self.schema.clone(), regime_own, store)
-    }
-
-    /// The tail shared by [`Self::assemble`] and [`Self::assemble_patched`]:
-    /// `variables` must already be in sorted key order; the lookup and
-    /// first-edge indices and the summary statistics are derived from it.
+    /// Assembles a weight function from a global table in sorted key order:
+    /// the lookup and first-edge indices and the summary statistics are
+    /// derived from it. Every constructor ends here, so identical variable
+    /// sets produce identical structures.
     fn finish(
         partition: DayPartition,
         cost_kind: CostKind,
@@ -710,10 +604,9 @@ impl PathWeightFunction {
     /// * a non-dirty key's qualified occurrence set is untouched by the
     ///   mutation, so its existing histogram already equals what the rebuild
     ///   would fit;
-    /// * variable order, lookup indices and statistics are reassembled in
-    ///   sorted key order — spliced incrementally through the internal
-    ///   `assemble_patched` merge pass, which is asserted bit-identical to
-    ///   the full sorted re-index.
+    /// * each table is patched in one merge pass that keeps the sorted key
+    ///   order a full instantiation produces, and the lookup indices and
+    ///   statistics are derived from it as every constructor derives them.
     ///
     /// Count transitions go both ways: a key crossing β upward is *added*, a
     /// previously instantiated key whose support drops below β (its
@@ -735,13 +628,13 @@ impl PathWeightFunction {
     }
 
     /// The regime-aware selective re-instantiation behind [`Self::rederive`]:
-    /// global keys are re-derived against the full store exactly as before;
-    /// a non-global key is re-derived against the contributing subsequence
-    /// of the store (trajectories whose fallback ladder passes through the
-    /// key's table) and patched into that regime's own table. Effective
-    /// views are re-materialized from the patched tables, so the result is
-    /// bit-identical to a full [`Self::instantiate`] over `current` when
-    /// `dirty` covers every changed key (see [`dirty_keys_by_regime`]).
+    /// each dirty key is re-derived against the contributing subsequence of
+    /// the store (every trajectory for the global table, those whose
+    /// fallback ladder passes through the key's table otherwise) and patched
+    /// into that table. Effective views are re-materialized from the patched
+    /// tables, so the result is bit-identical to a full [`Self::instantiate`]
+    /// over `current` when `dirty` covers every changed key (see
+    /// [`dirty_keys_by_regime`]).
     pub fn rederive_regimes(
         &self,
         net: &RoadNetwork,
@@ -762,25 +655,22 @@ impl PathWeightFunction {
             ));
         }
 
-        let mut delta: BTreeMap<VariableKey, Option<InstantiatedVariable>> = BTreeMap::new();
-        let mut regime_delta: BTreeMap<
-            RegimeId,
-            BTreeMap<VariableKey, Option<InstantiatedVariable>>,
-        > = BTreeMap::new();
+        let mut deltas: BTreeMap<RegimeId, BTreeMap<VariableKey, Option<InstantiatedVariable>>> =
+            BTreeMap::new();
         let mut updated = Vec::new();
         let mut added = Vec::new();
         let mut removed = Vec::new();
         for (edges, interval, regime) in dirty {
-            let key: VariableKey = (edges.clone(), *interval);
             let path = Path::from_edges_unchecked(edges.clone());
-            let existing = if regime.is_global() {
-                self.index.contains_key(&key)
-            } else {
-                self.regime_table_get(*regime, edges, *interval).is_some()
-            };
+            let existing = self
+                .table(*regime)
+                .binary_search_by(|v| (v.path.edges(), v.interval).cmp(&(edges, *interval)))
+                .is_ok();
             // The key's qualified occurrences in its table's contributing
             // subsequence of the current store, in the same (trajectory,
-            // position) order the full rebuild collects rows in.
+            // position) order the full rebuild collects rows in. Reading the
+            // key's posting list visits only the trajectories that traverse
+            // it, instead of walking the whole store.
             let occurrences: Vec<_> = current
                 .occurrences_on_contributing(&path, &self.schema, *regime)
                 .into_iter()
@@ -796,70 +686,62 @@ impl PathWeightFunction {
                     }
                 }
             }
-            if rows.len() >= cfg.beta {
-                let histogram = fit_histogram(&path, &rows, cfg)?;
-                let var = InstantiatedVariable {
-                    path: path.clone(),
-                    interval: *interval,
-                    histogram,
-                    source: VariableSource::Trajectories { count: rows.len() },
-                };
-                if regime.is_global() {
-                    delta.insert(key, Some(var));
-                } else {
-                    regime_delta
-                        .entry(*regime)
-                        .or_default()
-                        .insert(key, Some(var));
-                }
-                if existing {
+            let patch = match fit_variable(path.clone(), *interval, &rows, cfg)? {
+                Some(var) if existing => {
                     updated.push((path, *interval, *regime));
-                } else {
-                    added.push((path, *interval, *regime));
+                    Some(var)
                 }
-            } else if existing {
+                Some(var) => {
+                    added.push((path, *interval, *regime));
+                    Some(var)
+                }
                 // Downward transition: the key lost its β support in this
                 // table, so the full rebuild would not instantiate it there
                 // — delete it.
-                if regime.is_global() {
-                    delta.insert(key, None);
-                } else {
-                    regime_delta.entry(*regime).or_default().insert(key, None);
+                None if existing => {
+                    removed.push((path, *interval, *regime));
+                    None
                 }
-                removed.push((path, *interval, *regime));
-            }
+                None => continue,
+            };
+            deltas
+                .entry(*regime)
+                .or_default()
+                .insert((edges.clone(), *interval), patch);
         }
 
-        // Patch the regime own tables; an emptied table is dropped so the
+        // Patch every touched table; an emptied own table is dropped so the
         // result matches what full instantiation (which never inserts empty
         // tables) would build.
-        let mut regime_own = self.regime_own.clone();
-        for (regime, patches) in regime_delta {
-            let mut by_key: BTreeMap<VariableKey, InstantiatedVariable> = regime_own
-                .remove(&regime)
-                .unwrap_or_default()
-                .into_iter()
-                .map(|v| ((v.path.edges().to_vec(), v.interval), v))
-                .collect();
-            for (key, patch) in patches {
-                match patch {
-                    Some(var) => {
-                        by_key.insert(key, var);
-                    }
-                    None => {
-                        by_key.remove(&key);
-                    }
-                }
-            }
-            if !by_key.is_empty() {
-                regime_own.insert(regime, by_key.into_values().collect());
+        let variables = patch_sorted(
+            self.variables.iter().cloned(),
+            deltas.remove(&RegimeId::ALL_TRAFFIC).unwrap_or_default(),
+        );
+        let mut regime_own: BTreeMap<RegimeId, Vec<InstantiatedVariable>> = self
+            .regime_own
+            .iter()
+            .filter(|(regime, _)| !deltas.contains_key(regime))
+            .map(|(regime, table)| (*regime, table.clone()))
+            .collect();
+        for (regime, delta) in deltas {
+            let table = patch_sorted(self.table(regime).iter().cloned(), delta);
+            if !table.is_empty() {
+                regime_own.insert(regime, table);
             }
         }
 
-        let weights = self.assemble_patched(delta, regime_own, current);
+        let weights = Self::finish(
+            self.partition.clone(),
+            self.cost_kind,
+            variables,
+            self.fallback_units.clone(),
+            current,
+        )
+        .with_regime_tables(self.schema.clone(), regime_own, current);
         Ok(WeightUpdate {
             epoch: 0,
             trajectories: 0,
+            trajectories_rejected: 0,
             trajectories_retired: 0,
             dirty_keys: dirty.len(),
             weights: Arc::new(weights),
@@ -931,17 +813,15 @@ impl PathWeightFunction {
         )
     }
 
-    /// Exact lookup in a regime's *own* table (not the effective view).
-    fn regime_table_get(
-        &self,
-        regime: RegimeId,
-        edges: &[EdgeId],
-        interval: IntervalId,
-    ) -> Option<&InstantiatedVariable> {
-        let vars = self.regime_own.get(&regime)?;
-        vars.binary_search_by(|v| (v.path.edges(), v.interval).cmp(&(edges, interval)))
-            .ok()
-            .map(|i| &vars[i])
+    /// One table by its regime: the global variables for
+    /// [`RegimeId::ALL_TRAFFIC`], otherwise the regime's own table (empty
+    /// when the regime instantiated nothing). Never an effective view.
+    fn table(&self, regime: RegimeId) -> &[InstantiatedVariable] {
+        if regime.is_global() {
+            &self.variables
+        } else {
+            self.regime_own.get(&regime).map_or(&[], Vec::as_slice)
+        }
     }
 
     /// The regime fallback-ladder schema this function was built under.
@@ -1522,6 +1402,79 @@ mod tests {
             update.removed.iter().any(|(_, _, r)| !r.is_global()),
             "a 60% retirement must delete some regime-table variable"
         );
+    }
+
+    #[test]
+    fn exclusions_reach_every_regime_table_and_view() {
+        let (net, untagged) = DatasetPreset::tiny(31).materialise().unwrap();
+        let cfg = HybridConfig {
+            beta: 10,
+            ..HybridConfig::default()
+        }
+        .with_regimes(grouped_schema());
+        let store = tag_store(&untagged, untagged.len() / 2);
+        let full = PathWeightFunction::instantiate(&net, &store, &cfg).unwrap();
+        // Hold out two rank-2 keys of regime 2's own table and the only key
+        // of regime 1's: every table and view holding a key that contains
+        // one of them must lose it, and nothing else may change.
+        let own = full.regime_tables();
+        assert_eq!(own[&RegimeId(1)].len(), 1);
+        let excluded: Vec<(Path, IntervalId)> = own[&RegimeId(2)]
+            .iter()
+            .filter(|v| v.rank() == 2)
+            .take(2)
+            .chain(&own[&RegimeId(1)])
+            .map(|v| (v.path.clone(), v.interval))
+            .collect();
+        assert_eq!(excluded.len(), 3);
+        let held_out = |v: &InstantiatedVariable| {
+            excluded.iter().any(|(path, interval)| {
+                *interval == v.interval
+                    && v.path
+                        .edges()
+                        .windows(path.cardinality())
+                        .any(|w| w == path.edges())
+            })
+        };
+        let kept = |vars: &[InstantiatedVariable]| -> Vec<InstantiatedVariable> {
+            vars.iter().filter(|v| !held_out(v)).cloned().collect()
+        };
+
+        let wp =
+            PathWeightFunction::instantiate_with_exclusions(&net, &store, &cfg, &excluded).unwrap();
+        assert!(wp.variables().len() < full.variables().len());
+        assert_eq!(wp.variables(), kept(full.variables()));
+        // Regime 1's table empties and is dropped, as full instantiation
+        // drops every empty table.
+        assert!(!wp.regime_tables().contains_key(&RegimeId(1)));
+        assert!(wp.regime_tables().values().all(|t| !t.is_empty()));
+        for (regime, vars) in own {
+            let table = wp
+                .regime_tables()
+                .get(regime)
+                .map_or(&[][..], Vec::as_slice);
+            assert!(table.len() < vars.len(), "regime {regime} lost no key");
+            assert_eq!(table, kept(vars));
+        }
+        let regimes: Vec<RegimeId> = full.regimes().collect();
+        assert_eq!(wp.regimes().collect::<Vec<_>>(), regimes);
+        for r in regimes {
+            let (view, full_view) = (wp.for_regime(r).unwrap(), full.for_regime(r).unwrap());
+            assert!(view.variables().iter().all(|v| !held_out(v)));
+            assert_eq!(view.variables(), kept(full_view.variables()));
+            for (i, v) in view.variables().iter().enumerate() {
+                assert_eq!(
+                    view.resolution_of(&v.path, v.interval),
+                    full_view.resolution_of(&v.path, v.interval),
+                    "view {r} resolves {:?} differently",
+                    v.path
+                );
+                assert_eq!(
+                    (view.variable_depth(i), view.variable_regime(i)),
+                    full_view.resolution_of(&v.path, v.interval).unwrap()
+                );
+            }
+        }
     }
 
     #[test]

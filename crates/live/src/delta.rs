@@ -1,22 +1,21 @@
 //! Dirty-key computation: which weight-function variables can an ingest (or
 //! retirement) batch touch?
 //!
-//! The weight function's pass 1 (`PathWeightFunction::instantiate`) counts
-//! one qualified occurrence per *window* of every trajectory: each
+//! A trajectory contributes one qualified occurrence to the key of every
+//! *window* the weight function's one window walk yields for it: each
 //! `(edges[start..start + k], interval_of(entry_times[start]))` pair for
 //! `k = 1..=max_rank`. Appending a trajectory therefore grows — and
 //! retiring one shrinks — the qualified occurrence set of exactly the keys
 //! its own windows name: those keys (and only those) must be re-derived,
-//! everything else is untouched by construction. This module enumerates
-//! them; the same enumeration serves both directions, which is why
-//! `LiveIngestor::retire_*` feed the *removed* trajectories through it.
+//! everything else is untouched by construction. The same walk serves both
+//! directions, which is why `LiveIngestor::retire_*` feed the *removed*
+//! trajectories through it.
 
 /// The set of variable keys whose qualified occurrence sets a batch of newly
 /// appended trajectories changes. The implementation lives in
-/// `pathcost-core` next to the pass-1 loop it mirrors
-/// ([`pathcost_core::weights`]), so the enumeration and the instantiation it
-/// must match cannot drift apart; this module re-exports it as the ingest
-/// subsystem's entry point and keeps the batch-level tests.
+/// [`pathcost_core::weights`], where it and instantiation read windows from
+/// the same walk, so the two cannot drift apart; this module re-exports it
+/// as the ingest subsystem's entry point and keeps the batch-level tests.
 pub use pathcost_core::{dirty_keys, dirty_keys_by_regime};
 
 #[cfg(test)]

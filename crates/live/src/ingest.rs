@@ -5,6 +5,7 @@ use crate::delta::dirty_keys_by_regime;
 use pathcost_core::{
     CoreError, DayPartition, HybridConfig, PathWeightFunction, RegimeVariableKey, WeightUpdate,
 };
+use pathcost_obs::log as obslog;
 use pathcost_roadnet::RoadNetwork;
 use pathcost_traj::{tag_batch, MatchedTrajectory, RegimeClassifier, Timestamp, TrajectoryStore};
 use std::collections::{BTreeSet, HashSet};
@@ -143,7 +144,12 @@ impl<'n> LiveIngestor<'n> {
     /// batch — are dropped deterministically (first occurrence wins) *before*
     /// dirty keys are computed, so a re-delivered batch publishes a no-op
     /// epoch instead of double-counting occurrences or spuriously
-    /// invalidating cache entries.
+    /// invalidating cache entries. Invalid trajectories are refused in the
+    /// same pass and never reach the store: mismatched per-edge vector
+    /// lengths, a non-finite or negative travel time, non-monotone entry
+    /// times, an edge missing from the network, or consecutive edges that
+    /// do not connect. Each refusal is logged with its reason and counted
+    /// in [`WeightUpdate::trajectories_rejected`].
     ///
     /// When a [`RetentionConfig`] with a `max_age` is installed
     /// ([`Self::with_retention`]), the same epoch also TTL-expires every
@@ -153,8 +159,42 @@ impl<'n> LiveIngestor<'n> {
     /// itself entirely behind the watermark can therefore arrive and expire
     /// in the same call.
     pub fn ingest(&mut self, mut batch: Vec<MatchedTrajectory>) -> Result<WeightUpdate, CoreError> {
+        let rejected = self.admit(&mut batch);
+        self.ingest_admitted(batch, rejected)
+    }
+
+    /// Drops from `batch` every trajectory [`Self::ingest`] would not store —
+    /// already-stored or repeated ids, and invalid rows — and returns how
+    /// many were refused as invalid. The persistence layer journals only
+    /// what this keeps.
+    pub(crate) fn admit(&self, batch: &mut Vec<MatchedTrajectory>) -> usize {
         let mut seen = HashSet::with_capacity(batch.len());
-        batch.retain(|m| !self.store.contains_id(m.id) && seen.insert(m.id));
+        let mut rejected = 0;
+        batch.retain(|m| {
+            if self.store.contains_id(m.id) {
+                return false;
+            }
+            if let Some(reason) = rejection_reason(self.net, m) {
+                rejected += 1;
+                obslog::warn(
+                    "live",
+                    "trajectory_rejected",
+                    &[("id", m.id.into()), ("reason", reason.into())],
+                );
+                return false;
+            }
+            seen.insert(m.id)
+        });
+        rejected
+    }
+
+    /// [`Self::ingest`] for a batch [`Self::admit`] already filtered;
+    /// `rejected` is stamped on the published update.
+    pub(crate) fn ingest_admitted(
+        &mut self,
+        mut batch: Vec<MatchedTrajectory>,
+        rejected: usize,
+    ) -> Result<WeightUpdate, CoreError> {
         if let Some(classifier) = &self.classifier {
             tag_batch(&mut batch, &**classifier);
         }
@@ -194,7 +234,10 @@ impl<'n> LiveIngestor<'n> {
             // untouched by a suffix removal).
             self.store.retire_ids(&appended_ids);
         }
-        published
+        published.map(|mut update| {
+            update.trajectories_rejected = rejected;
+            update
+        })
     }
 
     /// The TTL cutoff for the current store under the installed retention
@@ -339,10 +382,44 @@ impl<'n> LiveIngestor<'n> {
     }
 }
 
+/// Why `m` must not enter the store, or `None` when it is valid. A valid row
+/// has per-edge vectors as long as its path, finite non-negative travel
+/// times, finite non-decreasing entry times, and a path of network edges
+/// each starting where the previous one ends. The weight function's window
+/// walk indexes entry times by edge position, and a non-finite or negative
+/// cost would fail every later fit of the keys it feeds.
+fn rejection_reason(net: &RoadNetwork, m: &MatchedTrajectory) -> Option<&'static str> {
+    let n = m.path.cardinality();
+    if m.entry_times.len() != n || m.travel_times.len() != n || m.avg_speeds_mps.len() != n {
+        return Some("per-edge vectors do not match the path length");
+    }
+    if m.travel_times.iter().any(|t| !(t.is_finite() && *t >= 0.0)) {
+        return Some("travel time is not finite and non-negative");
+    }
+    if m.entry_times.iter().any(|t| !t.seconds().is_finite())
+        || m.entry_times
+            .windows(2)
+            .any(|w| w[1].seconds() < w[0].seconds())
+    {
+        return Some("entry times are not finite and non-decreasing");
+    }
+    let mut end = None;
+    for &id in m.path.edges() {
+        let Ok(edge) = net.edge(id) else {
+            return Some("path edge is missing from the network");
+        };
+        if end.is_some_and(|v| v != edge.from) {
+            return Some("consecutive path edges do not connect");
+        }
+        end = Some(edge.to);
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathcost_roadnet::RoadNetwork;
+    use pathcost_roadnet::{EdgeId, Path, RoadNetwork};
     use pathcost_traj::DatasetPreset;
 
     fn fixture() -> (RoadNetwork, TrajectoryStore, HybridConfig) {
@@ -551,6 +628,87 @@ mod tests {
         assert!(ingestor
             .with_retention(RetentionConfig::default())
             .is_ok_and(|i| i.retention().max_age.is_none()));
+    }
+
+    /// `copies` rows driving `template`'s path from 01:35 on day 0 — an hour
+    /// the tiny preset leaves empty — with consecutive fresh ids.
+    fn night_copies(
+        template: &MatchedTrajectory,
+        first_id: u64,
+        copies: usize,
+    ) -> Vec<MatchedTrajectory> {
+        let shift = 5_700.0 - template.entry_times[0].seconds();
+        (0..copies as u64)
+            .map(|i| {
+                let mut m = template.clone();
+                m.id = first_id + i;
+                for t in &mut m.entry_times {
+                    *t = Timestamp(t.seconds() + shift);
+                }
+                m
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_refused_nan_row_cannot_fail_a_later_valid_batch() {
+        let (net, store, cfg) = fixture();
+        let template = store.matched()[0].clone();
+        let next_id = store.matched().iter().map(|m| m.id).max().unwrap() + 1;
+        let mut ingestor = LiveIngestor::new(&net, store, cfg.clone()).unwrap();
+
+        // A NaN row whose windows all stay below β: nothing would fit it yet,
+        // so only validation on entry can keep it out of the store.
+        let mut poisoned = night_copies(&template, next_id, 1);
+        poisoned[0].travel_times[0] = f64::NAN;
+        let update = ingestor.ingest(poisoned).unwrap();
+        assert_eq!(update.trajectories, 0);
+        assert_eq!(update.trajectories_rejected, 1);
+        assert_eq!(update.changed(), 0);
+        assert!(!ingestor.store().contains_id(next_id));
+
+        // An all-valid batch on the same windows pushes them over β. Had the
+        // NaN row been stored, every fit of those keys would fail.
+        let update = ingestor
+            .ingest(night_copies(&template, next_id + 1, cfg.beta))
+            .unwrap();
+        assert_eq!(update.trajectories, cfg.beta);
+        assert_eq!(update.trajectories_rejected, 0);
+        assert!(!update.added.is_empty(), "the night windows must cross β");
+        let full = PathWeightFunction::instantiate(&net, ingestor.store(), &cfg).unwrap();
+        assert_eq!(update.weights.variables(), full.variables());
+    }
+
+    #[test]
+    fn every_kind_of_invalid_row_is_refused() {
+        let (net, store, cfg) = fixture();
+        let template = store
+            .matched()
+            .iter()
+            .find(|m| m.path.cardinality() >= 2)
+            .unwrap()
+            .clone();
+        let next_id = store.matched().iter().map(|m| m.id).max().unwrap() + 1;
+        let mut ingestor = LiveIngestor::new(&net, store, cfg).unwrap();
+
+        let mut rows = night_copies(&template, next_id, 7);
+        rows[0].travel_times.pop();
+        rows[1].travel_times[0] = -1.0;
+        rows[2].travel_times[1] = f64::INFINITY;
+        rows[3].entry_times[1] = Timestamp(rows[3].entry_times[0].seconds() - 1.0);
+        rows[4].path = Path::from_edges_unchecked(
+            std::iter::once(EdgeId(u32::MAX))
+                .chain(template.path.edges()[1..].iter().copied())
+                .collect(),
+        );
+        let first = template.path.edges()[0];
+        rows[5].path = Path::from_edges_unchecked(vec![first; template.path.cardinality()]);
+        // rows[6] stays valid.
+        let update = ingestor.ingest(rows).unwrap();
+        assert_eq!(update.trajectories_rejected, 6);
+        assert_eq!(update.trajectories, 1);
+        assert!(ingestor.store().contains_id(next_id + 6));
+        assert!((next_id..next_id + 6).all(|id| !ingestor.store().contains_id(id)));
     }
 
     #[test]

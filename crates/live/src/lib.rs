@@ -18,7 +18,9 @@
 //! 1. **Delta-indexed append** — batches of
 //!    [`MatchedTrajectory`](pathcost_traj::MatchedTrajectory) are appended to
 //!    the [`TrajectoryStore`](pathcost_traj::TrajectoryStore) through its
-//!    incremental index maintenance, not a rebuild.
+//!    incremental index maintenance, not a rebuild. Invalid rows (non-finite
+//!    or negative costs, non-monotone entry times, paths the network does
+//!    not hold) are refused on entry and never stored or journalled.
 //! 2. **Dirty-key computation** ([`delta::dirty_keys`]) — the appended
 //!    windows name exactly the weight-function variables whose qualified
 //!    occurrence sets changed; everything else is provably untouched.

@@ -414,11 +414,15 @@ impl<'n> PersistentIngestor<'n> {
     /// [`PersistenceError::Suspended`] **before** touching in-memory state.
     pub fn ingest(
         &mut self,
-        batch: Vec<MatchedTrajectory>,
+        mut batch: Vec<MatchedTrajectory>,
     ) -> Result<WeightUpdate, PersistenceError> {
         self.ensure_not_suspended()?;
+        // Only the rows the ingestor keeps are journalled; replay runs them
+        // through the same admission, so a journal that still holds
+        // refused rows recovers to the same state too.
+        let rejected = self.inner.admit(&mut batch);
         let journalled = batch.clone();
-        let update = self.inner.ingest(batch)?;
+        let update = self.inner.ingest_admitted(batch, rejected)?;
         self.journal_epoch(update.epoch, JournalOp::Ingest(journalled))?;
         Ok(update)
     }
@@ -853,6 +857,63 @@ mod tests {
         .unwrap();
         assert_eq!(report.outcome, RecoveryOutcome::Warm);
         assert_eq!(r.epoch(), want_epoch + 1);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn refused_rows_stay_out_of_the_journal_and_out_of_replay() {
+        let (net, store, cfg) = fixture();
+        let dir = temp_dir("refused");
+        let split = store.len() / 2;
+        let base = TrajectoryStore::new(store.matched()[..split].to_vec());
+        let rest: Vec<MatchedTrajectory> = store.matched()[split..].to_vec();
+        let mut bad = rest[0].clone();
+        bad.id = u64::MAX;
+        bad.travel_times[0] = f64::NAN;
+        let mut batch = rest.clone();
+        batch.push(bad);
+
+        let mut p = LiveIngestor::new(&net, base, cfg.clone())
+            .unwrap()
+            .with_persistence(&dir, PersistenceConfig::default())
+            .unwrap();
+        let update = p.ingest(batch.clone()).unwrap();
+        assert_eq!(update.trajectories_rejected, 1);
+        let want_vars = p.weights().variables().to_vec();
+        let want_matched = p.store().matched().to_vec();
+        drop(p);
+
+        // The journal holds exactly the accepted rows.
+        let (mut journal, records, _) = Journal::open(dir.join(JOURNAL_FILE)).unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(matches!(&records[0].op, JournalOp::Ingest(rows) if rows == &rest));
+
+        // A journal written before rows were validated still holds the
+        // refused row; replay applies the same admission and recovers the
+        // state of an ingestor that never crashed.
+        journal.rotate(u64::MAX).unwrap();
+        journal
+            .append(
+                &JournalRecord {
+                    epoch: 1,
+                    op: JournalOp::Ingest(batch),
+                },
+                true,
+            )
+            .unwrap();
+        drop(journal);
+        let (r, report) = PersistentIngestor::recover(
+            &net,
+            &dir,
+            cfg,
+            RetentionConfig::default(),
+            PersistenceConfig::default(),
+            || panic!("warm recovery must not need the bootstrap store"),
+        )
+        .unwrap();
+        assert_eq!(report.replayed_records, 1);
+        assert_eq!(r.weights().variables(), &want_vars[..]);
+        assert_eq!(r.store().matched(), &want_matched[..]);
         fs::remove_dir_all(&dir).unwrap();
     }
 

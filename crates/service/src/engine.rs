@@ -42,17 +42,6 @@ pub struct ServiceConfig {
     /// results remain identical to sequential execution unless it is enabled.
     /// Reuse is reported through [`ServiceStats`]'s `prefix_*` counters.
     pub share_prefixes: bool,
-    /// Fan batches out over a persistent [`WorkerPool`]
-    /// of [`Self::workers`] long-lived threads (spawned lazily on the first
-    /// batch, joined when the engine drops) instead of spawning fresh scoped
-    /// threads per batch phase. On by default — a serving process executes
-    /// thousands of batches, and the pool both amortises the spawn/join cost
-    /// and enables cache-shard-pinned warm fills (each worker owns the
-    /// shards `s` with `s % workers == worker`, so concurrent fills never
-    /// contend on a shard lock). `false` restores the scoped-threads-per-
-    /// batch executor — kept as the benchmark baseline; results are
-    /// identical either way.
-    pub persistent_pool: bool,
 }
 
 impl Default for ServiceConfig {
@@ -63,7 +52,6 @@ impl Default for ServiceConfig {
             workers: None,
             router: RouterConfig::default(),
             share_prefixes: false,
-            persistent_pool: true,
         }
     }
 }
@@ -118,8 +106,8 @@ pub struct QueryEngine<'n> {
     update_lock: std::sync::Mutex<()>,
     pub(crate) recorder: StatsRecorder,
     /// The persistent batch worker pool, spawned lazily by the first batch
-    /// when [`ServiceConfig::persistent_pool`] is on (so engines that never
-    /// execute a batch never spawn threads) and joined on drop.
+    /// (so engines that never execute a batch never spawn threads) and
+    /// joined on drop.
     pool: std::sync::OnceLock<WorkerPool>,
     config: ServiceConfig,
 }
@@ -146,17 +134,10 @@ impl<'n> QueryEngine<'n> {
         }
     }
 
-    /// The engine's persistent batch worker pool, spawning it on first use;
-    /// `None` when [`ServiceConfig::persistent_pool`] is disabled (the
-    /// scoped-threads-per-batch baseline).
-    pub(crate) fn batch_pool(&self) -> Option<&WorkerPool> {
-        if !self.config.persistent_pool {
-            return None;
-        }
-        Some(
-            self.pool
-                .get_or_init(|| WorkerPool::new(self.worker_count())),
-        )
+    /// The engine's persistent batch worker pool, spawning it on first use.
+    pub(crate) fn batch_pool(&self) -> &WorkerPool {
+        self.pool
+            .get_or_init(|| WorkerPool::new(self.worker_count()))
     }
 
     /// The lock serializing update application (see `apply_update`).

@@ -23,7 +23,7 @@
 //!   O(1) lookup instead of a decomposition.
 //! * **A batch executor** — [`QueryEngine::execute_batch`] deduplicates the
 //!   `(path, interval)` estimation jobs shared across a batch and fans the
-//!   unique work out over scoped worker threads (no async runtime: the work
+//!   unique work out over a persistent worker pool (no async runtime: the work
 //!   is CPU-bound), then answers every request from the warm cache. Batch
 //!   responses are identical to sequential execution.
 //! * **A routing adapter** — [`CachingEstimator`] implements

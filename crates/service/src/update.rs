@@ -382,6 +382,7 @@ impl<'n> QueryEngine<'n> {
         let WeightUpdate {
             epoch,
             trajectories,
+            trajectories_rejected: _,
             trajectories_retired,
             dirty_keys: _,
             weights,
